@@ -17,7 +17,9 @@ other's numbers.
 
 import json
 import os
+import statistics
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -63,6 +65,29 @@ def bench_results(request):
         _BENCH_RESULTS.setdefault(suite, {})[name] = dict(stats)
 
     return record
+
+
+@pytest.fixture
+def seconds_per_call():
+    """``seconds_per_call(fn, calls, rounds)``: the cost of one ``fn()``.
+
+    Times ``rounds`` batches of ``calls`` back-to-back calls and returns the
+    median batch over ``calls``.  The overhead gates cost instrumentation
+    this way — per-call cost times the number of calls a campaign made —
+    because timing two ~1 s campaigns against each other swings by 10-20%
+    on a shared host, far more than the 5% bound they enforce.
+    """
+
+    def measure(fn, calls=2000, rounds=5):
+        batches = []
+        for _ in range(rounds):
+            start = time.perf_counter()
+            for _ in range(calls):
+                fn()
+            batches.append(time.perf_counter() - start)
+        return statistics.median(batches) / calls
+
+    return measure
 
 
 @pytest.fixture(autouse=True)

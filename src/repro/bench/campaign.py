@@ -251,23 +251,15 @@ def _execute_job(job: CampaignJob) -> RunRecord:
         "repro_frames_total", "Camera decision ticks by frame handling."
     ).inc(runner.frames_rendered, system=job.system.name, mode="rendered")
     METRICS.counter(
-        "repro_frames_total", "Camera decision ticks by frame handling."
-    ).inc(runner.frames_skipped, system=job.system.name, mode="skipped")
-    METRICS.counter(
         "repro_depth_captures_total", "Depth ticks by capture handling."
     ).inc(runner.depth_captures, system=job.system.name, mode="captured")
-    METRICS.counter(
-        "repro_depth_captures_total", "Depth ticks by capture handling."
-    ).inc(runner.depth_skipped, system=job.system.name, mode="skipped")
     METRICS.histogram(
         "repro_mission_seconds", "Simulated mission duration per run."
     ).observe(record.mission_time, system=job.system.name)
     if recorder is not None:
         recorder.count("frames-rendered", runner.frames_rendered)
-        recorder.count("frames-skipped", runner.frames_skipped)
         recorder.count("frames-lost", runner.frames_lost)
         recorder.count("depth-captures", runner.depth_captures)
-        recorder.count("depth-skipped", runner.depth_skipped)
         recorder.count("clouds-lost", runner.clouds_lost)
         from repro.obs.trace import append_trace_summary
 
@@ -455,7 +447,7 @@ class Campaign:
         Every run appends one per-phase timing summary to
         ``<directory>/<system>.trace.jsonl`` (see :mod:`repro.obs.trace`).
         Tracing is strictly a side channel — it is excluded from the campaign
-        context fingerprint and provably cannot change a record byte, so a
+        context fingerprint and cannot change a record byte, so a
         traced campaign resumes against (and ``cmp``-matches) an untraced
         one.  Render the breakdown with ``python -m repro.obs report``.
         """

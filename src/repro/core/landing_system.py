@@ -197,33 +197,6 @@ class LandingSystem:
             self._last_detection_time = frame.timestamp
         return result
 
-    def process_skipped_frame(self, timestamp: float) -> DetectionFrame:
-        """Account for a decision tick whose camera frame was provably blank.
-
-        The mission fast path elides rendering and detection on frames that
-        cannot contain a marker or obstacle pixel (see
-        ``MissionRunner._frame_provably_blank``).  The bookkeeping matches
-        :meth:`process_frame` on an empty detection result exactly: the
-        nominal detection cost is still charged — the real detector would
-        still scan the blank frame — and the cached last frame advances, so
-        downstream state (validation, candidate latching) is byte-identical
-        to having run the detector.
-        """
-        result = DetectionFrame(timestamp=timestamp)
-        self.last_timings.detection = self._detector_spec.nominal_latency
-        self._last_frame = result
-        return result
-
-    @property
-    def frame_elision_safe(self) -> bool:
-        """Whether the configured detector is declared silent on blank frames.
-
-        Read from the registry metadata flag ``blank_frame_silent``; custom
-        detectors default to False, which disables the mission fast path for
-        them.
-        """
-        return bool(self._detector_spec.metadata.get("blank_frame_silent", False))
-
     def process_cloud(self, cloud: PointCloud, estimate: EstimatedState) -> None:
         """Fuse a depth point cloud into the configured occupancy map."""
         integrated = False

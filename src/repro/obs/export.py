@@ -17,6 +17,8 @@ Three properties make the snapshots safe to merge (see
   the aggregator's ``*.json`` glob) and ``os.replace``-s it over the
   snapshot, so a reader never observes a torn snapshot and a worker killed
   mid-flush leaves at worst a stale complete one plus an orphan temp file.
+  Flushes of one exporter are serialised from sequence draw to replace, so
+  the snapshot on disk always carries the highest ``seq`` drawn.
 * **stable identity** — a process always writes the *same* filename (its
   pid plus a per-process random nonce) and stamps every snapshot with a
   monotonically increasing ``seq``, so the aggregator can deduplicate one
@@ -40,7 +42,6 @@ import socket
 import threading
 import uuid
 from pathlib import Path
-from typing import Any
 
 from repro.obs.metrics import METRICS, MetricsRegistry
 
@@ -73,19 +74,6 @@ class MetricsExporter:
     def filename(self) -> str:
         return f"{os.getpid()}-{self.nonce}.json"
 
-    def payload(self, registry: MetricsRegistry) -> dict[str, Any]:
-        """The next snapshot payload (advances the flush sequence)."""
-        with self._lock:
-            self._seq += 1
-            seq = self._seq
-        return {
-            "kind": SNAPSHOT_KIND,
-            "schema": SNAPSHOT_SCHEMA_VERSION,
-            "process": self.process,
-            "seq": seq,
-            "metrics": registry.dump(),
-        }
-
     def flush(
         self, directory: str | Path, *, registry: MetricsRegistry | None = None
     ) -> Path | None:
@@ -96,25 +84,32 @@ class MetricsExporter:
         when the filesystem refused (flushing never breaks a run loop).
         """
         target_dir = Path(directory) / METRICS_DIRNAME
-        payload = self.payload(registry if registry is not None else METRICS)
         path = target_dir / self.filename()
-        # Unique temp per flush: pool threads share one exporter, and two
-        # concurrent flushes must never interleave writes into one temp
-        # file.  Racing replaces leave a complete (if momentarily stale)
-        # snapshot either way.
         tmp = path.with_name(f".{path.stem}-{uuid.uuid4().hex[:6]}.tmp")
-        try:
-            target_dir.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(
-                json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8"
-            )
-            os.replace(tmp, path)
-        except OSError:
+        # Pool threads share one exporter.  Holding the lock from drawing
+        # the sequence number through the replace makes flushes land in
+        # sequence order, so an older snapshot can never replace a newer one.
+        with self._lock:
+            self._seq += 1
+            payload = {
+                "kind": SNAPSHOT_KIND,
+                "schema": SNAPSHOT_SCHEMA_VERSION,
+                "process": self.process,
+                "seq": self._seq,
+                "metrics": (registry if registry is not None else METRICS).dump(),
+            }
             try:
-                tmp.unlink()
+                target_dir.mkdir(parents=True, exist_ok=True)
+                tmp.write_text(
+                    json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8"
+                )
+                os.replace(tmp, path)
             except OSError:
-                pass
-            return None
+                try:
+                    tmp.unlink()
+                except OSError:
+                    pass
+                return None
         return path
 
 

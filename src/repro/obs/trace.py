@@ -3,10 +3,16 @@
 A :class:`FlightRecorder` rides along one mission run and accumulates, per
 pipeline phase (sense → detect → map → plan → control, plus the simulator
 physics and the fault-harness interception), a span count and total
-wall-clock seconds, together with deterministic counters (fast-path skip
-decisions, frames lost to faults) and the deterministic *nominal* module
-costs the execution-platform model charges.  One summary line per run is
-appended to a trace file next to the campaign results.
+wall-clock seconds, together with deterministic sensor-accounting counters
+(frames rendered, depth captures, products lost to faults) and the
+deterministic *nominal* module costs the execution-platform model charges.
+One summary line per run is appended to a trace file next to the campaign
+results.
+
+The mission runner times every phase through one idiom,
+``with recorder.span(phase): ...``.  An untraced run gets
+:data:`NULL_RECORDER`, whose spans are a shared no-op, so the traced and
+untraced loops are the same code.
 
 Tracing is strictly a side channel:
 
@@ -22,7 +28,7 @@ Tracing is strictly a side channel:
   a headerless or interleaved file.
 
 Wall-clock span totals are inherently machine-dependent; everything else in
-a summary (span counts, skip counters, nominal seconds) is a pure function
+a summary (span counts, counters, nominal seconds) is a pure function
 of the campaign definition, which is what lets ``repro.obs report`` commit a
 byte-stable baseline (see :mod:`repro.obs.report`).
 """
@@ -32,8 +38,9 @@ from __future__ import annotations
 import json
 import os
 import re
-import time
+from contextlib import nullcontext
 from pathlib import Path
+from time import monotonic_ns, perf_counter
 from typing import Any, Iterator, Mapping
 
 from repro.jsonl import iter_frame_records
@@ -50,16 +57,34 @@ TRACE_SCHEMA_VERSION = 1
 PHASES = ("physics", "sense", "detect", "map", "plan", "control", "harness")
 
 
+class _Span:
+    """Times its ``with`` body as one span of ``phase``."""
+
+    __slots__ = ("_recorder", "_phase", "_started")
+
+    def __init__(self, recorder: "FlightRecorder", phase: str) -> None:
+        self._recorder = recorder
+        self._phase = phase
+        self._started = 0.0
+
+    def __enter__(self) -> None:
+        self._started = perf_counter()
+
+    def __exit__(self, *exc_info: object) -> None:
+        elapsed = perf_counter() - self._started
+        recorder, phase = self._recorder, self._phase
+        recorder.span_counts[phase] = recorder.span_counts.get(phase, 0) + 1
+        recorder.span_seconds[phase] = recorder.span_seconds.get(phase, 0.0) + elapsed
+
+
 class FlightRecorder:
     """Accumulates one mission run's per-phase spans and counters.
 
     Not thread-safe and not meant to be shared: every run gets its own
-    recorder (they are cheap — a few dicts), and the mission runner only
-    touches it behind ``if recorder is not None`` guards so the untraced
-    hot path is unchanged.
+    recorder (they are cheap — a few dicts).
     """
 
-    __slots__ = ("span_counts", "span_seconds", "counters", "nominal_seconds", "_t0")
+    __slots__ = ("span_counts", "span_seconds", "counters", "nominal_seconds")
 
     def __init__(self) -> None:
         self.span_counts: dict[str, int] = {}
@@ -68,22 +93,14 @@ class FlightRecorder:
         self.nominal_seconds: dict[str, float] = {
             "detect": 0.0, "map": 0.0, "plan": 0.0,
         }
-        self._t0 = 0.0
 
-    # -- spans ---------------------------------------------------------- #
-    def start(self) -> float:
-        """Begin a span; returns the start instant to pass to :meth:`add`."""
-        return time.perf_counter()
-
-    def add(self, phase: str, started: float) -> None:
-        """Close a span opened at ``started`` under ``phase``."""
-        elapsed = time.perf_counter() - started
-        self.span_counts[phase] = self.span_counts.get(phase, 0) + 1
-        self.span_seconds[phase] = self.span_seconds.get(phase, 0.0) + elapsed
+    def span(self, phase: str) -> _Span:
+        """Context manager timing its body as one ``phase`` span."""
+        return _Span(self, phase)
 
     # -- deterministic quantities --------------------------------------- #
     def count(self, name: str, amount: int = 1) -> None:
-        """Bump a deterministic event counter (skip decisions, lost frames)."""
+        """Bump a deterministic event counter (rendered or lost frames)."""
         self.counters[name] = self.counters.get(name, 0) + amount
 
     def charge_nominal(self, detection: float, mapping: float, planning: float) -> None:
@@ -116,6 +133,27 @@ class FlightRecorder:
         }
 
 
+_NULL_SPAN = nullcontext()
+
+
+class NullRecorder:
+    """The recorder of an untraced run: every call is a no-op."""
+
+    __slots__ = ()
+
+    def span(self, phase: str) -> nullcontext[None]:
+        return _NULL_SPAN
+
+    def count(self, name: str, amount: int = 1) -> None:
+        pass
+
+    def charge_nominal(self, detection: float, mapping: float, planning: float) -> None:
+        pass
+
+
+NULL_RECORDER = NullRecorder()
+
+
 # ---------------------------------------------------------------------- #
 # trace files
 # ---------------------------------------------------------------------- #
@@ -145,7 +183,7 @@ def _ensure_header(path: Path, system_name: str) -> None:
         return
     path.parent.mkdir(parents=True, exist_ok=True)
     line = json.dumps(_trace_header(system_name), sort_keys=True) + "\n"
-    tmp = path.with_name(f"{path.name}.hdr-{os.getpid()}-{time.monotonic_ns()}")
+    tmp = path.with_name(f"{path.name}.hdr-{os.getpid()}-{monotonic_ns()}")
     tmp.write_text(line, encoding="utf-8")
     try:
         os.link(tmp, path)

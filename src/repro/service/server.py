@@ -108,12 +108,15 @@ class _Handler(BaseHTTPRequestHandler):
         if not self.server.quiet:
             super().log_message(format, *args)
 
-    #: Status of the last response written, read back by the access log.
-    _last_status: int | None = None
+    #: ``(method, path, segments, started)`` of the request being served,
+    #: until :meth:`_observe_request` has counted it.
+    _pending: tuple[str, str, list[str], float] | None = None
 
     def _send(self, status: int, body: bytes, content_type: str,
               extra_headers: dict[str, str] | None = None) -> None:
-        self._last_status = status
+        # Count the request before the client can read the response, so a
+        # scrape sent after this response always sees it.
+        self._observe_request(status)
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
@@ -154,8 +157,7 @@ class _Handler(BaseHTTPRequestHandler):
         parts = urlsplit(self.path)
         query = {key: values[-1] for key, values in parse_qs(parts.query).items()}
         segments = [segment for segment in parts.path.split("/") if segment]
-        started = perf_counter()
-        self._last_status = None
+        self._pending = (method, parts.path, segments, perf_counter())
         try:
             try:
                 handled = self._dispatch(method, segments, query)
@@ -178,7 +180,7 @@ class _Handler(BaseHTTPRequestHandler):
                     404, {"error": f"no such route: {method} {parts.path}"}
                 )
         finally:
-            self._observe_request(method, parts.path, segments, started)
+            self._observe_request(0)  # no response was sent
 
     def _refresh_gauges(self) -> None:
         """Fold scrape-time state (jobs, pool threads) into the registry."""
@@ -221,12 +223,13 @@ class _Handler(BaseHTTPRequestHandler):
             segments = ["jobs", "{id}", *segments[2:]]
         return "/" + "/".join(segments) if segments else "/"
 
-    def _observe_request(
-        self, method: str, path: str, segments: list[str], started: float
-    ) -> None:
-        """Per-request metrics + one structured access-log line."""
+    def _observe_request(self, status: int) -> None:
+        """Per-request metrics + one structured access-log line, once."""
+        if self._pending is None:
+            return
+        method, path, segments, started = self._pending
+        self._pending = None
         elapsed = perf_counter() - started
-        status = self._last_status if self._last_status is not None else 0
         route = self._route_template(segments)
         METRICS.counter(
             "repro_http_requests_total", "Service requests by route and status."

@@ -127,6 +127,19 @@ class TestPlanner:
         with pytest.raises(ValueError, match="edited or corrupted"):
             load_plan(tmp_path / "dispatch")
 
+    def test_plan_with_retired_mission_field_refused(self, tmp_path, suite):
+        # Plans written while MissionConfig still had its tick-skip switch
+        # carry that retired field under ``mission``.  A mission key that
+        # MissionConfig no longer knows must make the directory refused on
+        # load, never flown under today's mission config.
+        plan_smoke(tmp_path, suite)
+        path = tmp_path / "dispatch" / "plan.json"
+        data = json.loads(path.read_text())
+        data["mission"]["retired_switch"] = True
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="malformed dispatch plan.*retired_switch"):
+            load_plan(tmp_path / "dispatch")
+
     def test_tampered_suite_refused(self, tmp_path, suite):
         plan_smoke(tmp_path, suite)
         other = generate_suite("smoke", count=4, seed=99)

@@ -745,6 +745,25 @@ class TestMissionIntegration:
         assert record.detection.frames_with_visible_marker == 0
         assert record.failure_mode in {mode.value for mode in FailureMode}
 
+    def test_dropped_frames_charge_no_detection_cost(self):
+        scenario = smoke_scenario()
+        harness = FaultHarness(
+            [FaultSpec(target="camera", mode="dropout", severity=1.0,
+                       start=0.0, duration=None)],
+            scenario_fingerprint=scenario.fingerprint(),
+        )
+        runner = MissionRunner(
+            scenario, mls_v1(),
+            mission_config=MissionConfig(max_mission_time=20.0),
+            fault_harness=harness,
+        )
+        runner.run()
+        # The dropout path ran: every rendered frame was lost.
+        assert runner.frames_lost > 0
+        assert runner.frames_lost == runner.frames_rendered
+        # No detector ran on the last tick, so none of its cost is charged.
+        assert runner.system.last_timings.detection == 0.0
+
     def test_failsafe_fields_persist_without_harness(self):
         scenario = smoke_scenario()
         record = MissionRunner(

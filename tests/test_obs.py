@@ -6,6 +6,7 @@ tracing on or off — is asserted here over a real (short) campaign; the CI
 """
 
 import json
+import os
 import threading
 
 import pytest
@@ -140,10 +141,11 @@ class TestMetricsRegistry:
 class TestFlightRecorder:
     def test_spans_counters_and_nominal_roll_up(self):
         recorder = FlightRecorder()
-        start = recorder.start()
-        recorder.add("detect", start)
-        recorder.add("detect", recorder.start())
-        recorder.count("frames-skipped")
+        with recorder.span("detect"):
+            pass
+        with recorder.span("detect"):
+            pass
+        recorder.count("frames-lost")
         recorder.count("frames-rendered", 3)
         recorder.charge_nominal(0.012, 0.028, 0.001)
         recorder.charge_nominal(0.012, 0.028, 0.001)
@@ -153,7 +155,7 @@ class TestFlightRecorder:
         assert summary["repetition"] == 2
         assert summary["spans"]["detect"]["count"] == 2
         assert summary["spans"]["detect"]["wall_s"] > 0.0
-        assert summary["counters"] == {"frames-rendered": 3, "frames-skipped": 1}
+        assert summary["counters"] == {"frames-lost": 1, "frames-rendered": 3}
         assert summary["nominal_s"]["detect"] == pytest.approx(0.024)
         assert summary["nominal_s"]["map"] == pytest.approx(0.056)
         assert summary["nominal_s"]["plan"] == pytest.approx(0.002)
@@ -164,7 +166,8 @@ class TestFlightRecorder:
 
     def test_append_and_iter_round_trip(self, tmp_path):
         recorder = FlightRecorder()
-        recorder.add("plan", recorder.start())
+        with recorder.span("plan"):
+            pass
         path = append_trace_summary(
             tmp_path, recorder, system="MLS-V1", scenario_id="a", repetition=0
         )
@@ -228,6 +231,58 @@ class TestTracingSideChannel:
         for phase in ("physics", "sense", "detect", "plan", "control"):
             assert spans[phase]["count"] > 0, phase
 
+    @pytest.mark.parametrize("faults", ["none", "noop", "dropout"])
+    def test_span_counts_match_sensor_accounting(self, faults):
+        from repro.core.config import mls_v1
+        from repro.core.mission import MissionConfig, MissionRunner
+        from repro.faults.harness import FaultHarness
+        from repro.faults.spec import FAULT_MODES, FaultSpec
+        from repro.world.scenario_gen import generate_suite
+
+        scenario = generate_suite("smoke", count=1, seed=7).scenarios[0]
+        specs = {
+            "none": None,
+            # Every hook runs on every tick, none perturbs anything.
+            "noop": [
+                FaultSpec(target=target, mode=modes[0], probability=0.0)
+                for target, modes in sorted(FAULT_MODES.items())
+            ],
+            # Part of the frames and clouds are lost.
+            "dropout": [
+                FaultSpec(target="camera", mode="dropout", severity=0.3, start=0.0),
+                FaultSpec(target="depth", mode="dropout", severity=0.3, start=0.0),
+            ],
+        }[faults]
+        harness = (
+            None if specs is None
+            else FaultHarness(specs, scenario_fingerprint=scenario.fingerprint())
+        )
+        recorder = FlightRecorder()
+        runner = MissionRunner(
+            scenario, mls_v1(),
+            mission_config=MissionConfig(max_mission_time=20.0),
+            fault_harness=harness,
+            recorder=recorder,
+        )
+        record = runner.run()
+        spans = recorder.span_counts
+        decision_ticks = len(record.resources.cpu_utilisation_samples)
+        assert runner.frames_rendered > 0 and runner.depth_captures > 0
+        assert spans["sense"] == runner.frames_rendered + runner.depth_captures
+        assert spans["detect"] == runner.frames_rendered - runner.frames_lost
+        assert spans["map"] == runner.depth_captures - runner.clouds_lost
+        assert spans["plan"] == spans["control"] == decision_ticks
+        if harness is None:
+            assert "harness" not in spans
+        else:
+            # Per depth tick: estimate, cloud and map hooks; per decision
+            # tick: the frame hook and the command + timings hook.
+            assert spans["harness"] == 3 * runner.depth_captures + 2 * decision_ticks
+        if faults == "dropout":
+            assert runner.frames_lost > 0 and runner.clouds_lost > 0
+        else:
+            assert runner.frames_lost == runner.clouds_lost == 0
+
     def test_trace_dir_env_var_reaches_execution(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "envtrace"))
         short_campaign().run()
@@ -253,8 +308,9 @@ class TestTracingSideChannel:
 def synthetic_trace(directory, order):
     for scenario_id, repetition in order:
         recorder = FlightRecorder()
-        recorder.add("detect", recorder.start())
-        recorder.count("frames-skipped", 2)
+        with recorder.span("detect"):
+            pass
+        recorder.count("frames-lost", 2)
         recorder.count("frames-rendered", 6)
         recorder.count("depth-captures", 4)
         recorder.charge_nominal(0.012, 0.028, 0.001)
@@ -279,19 +335,10 @@ class TestPhaseReport:
         plain = render_phase_report(summaries)
         assert "Wall s" not in plain
         assert "Nominal s" in plain
-        assert "frame-skip-rate" in plain
-        assert "25.0%" in plain  # 2 skipped / (2 + 6)
+        assert "## Sensor and fault counters" in plain
+        assert "frames-lost" in plain
         walled = render_phase_report(summaries, wall=True)
         assert "Wall s" in walled
-
-    def test_skip_rate_without_opportunities_is_na(self, tmp_path):
-        recorder = FlightRecorder()
-        recorder.charge_nominal(0.01, 0.0, 0.0)
-        append_trace_summary(
-            tmp_path, recorder, system="S", scenario_id="sc", repetition=0
-        )
-        report = render_phase_report(collect_summaries(tmp_path))
-        assert "n/a" in report
 
     def test_cli_writes_report(self, tmp_path, capsys):
         synthetic_trace(tmp_path / "trace", [("sc", 0)])
@@ -380,6 +427,37 @@ class TestMetricsExport:
             paths[0].name
         ]
         assert json.loads(paths[0].read_text())["seq"] == 80
+
+    def test_older_snapshot_never_replaces_newer(self, tmp_path, monkeypatch):
+        import repro.obs.export as export
+
+        registry = fleet_registry(1, 1)
+        exporter = export.MetricsExporter(process="p", nonce="dd")
+        real_replace = os.replace
+        first_parked = threading.Event()
+        second_landed = threading.Event()
+
+        def replace(src, dst):
+            seq = json.loads(open(src).read())["seq"]
+            if seq == 1:
+                # Park the first flush until the second has landed, or until
+                # it is clear the second cannot land while the first is open.
+                first_parked.set()
+                second_landed.wait(timeout=0.5)
+            real_replace(src, dst)
+            if seq == 2:
+                second_landed.set()
+
+        monkeypatch.setattr(export.os, "replace", replace)
+        first = threading.Thread(
+            target=exporter.flush, args=(tmp_path,), kwargs={"registry": registry}
+        )
+        first.start()
+        assert first_parked.wait(timeout=10)
+        path = exporter.flush(tmp_path, registry=registry)
+        first.join(timeout=10)
+        assert not first.is_alive()
+        assert json.loads(path.read_text())["seq"] == 2
 
     def test_merge_is_byte_stable_over_arrival_order(self, tmp_path):
         import itertools

@@ -479,6 +479,30 @@ class TestObservabilityEndpoints:
         finally:
             METRICS.reset()
 
+    def test_request_counted_before_its_response(
+        self, server_factory, stub_execute, monkeypatch
+    ):
+        from repro.obs.metrics import METRICS
+        from repro.service import server as server_module
+
+        # A slow observation must delay the response, never the count: the
+        # next scrape has to see the request that came before it.
+        observe = server_module._Handler._observe_request
+
+        def slow_observe(self, *args):
+            time.sleep(0.2)
+            observe(self, *args)
+
+        monkeypatch.setattr(server_module._Handler, "_observe_request", slow_observe)
+        METRICS.reset()
+        try:
+            _, client = server_factory(start_pool=False)
+            client.healthz()
+            text, _ = client._text("/metrics")
+            assert 'route="/healthz"' in text
+        finally:
+            METRICS.reset()
+
     def test_dispatch_worker_metrics_counted(self, server_factory, stub_execute):
         from repro.obs.metrics import METRICS
 
