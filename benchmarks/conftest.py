@@ -29,6 +29,7 @@ if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
 from repro.bench.campaign import CampaignConfig, run_campaign, run_field_campaign, run_hil_campaign  # noqa: E402
+from repro.jsonl import atomic_write  # noqa: E402
 
 
 _BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
@@ -198,11 +199,9 @@ def pytest_sessionfinish(session, exitstatus):
             for suite in sorted(suites)
         },
     }
-    # Write-temp-then-replace: a session killed mid-write must not truncate
-    # the accumulated bench history.
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
+    # A session killed mid-write must not truncate the accumulated history.
+    with atomic_write(path) as handle:
+        handle.write(json.dumps(payload, indent=2) + "\n")
 
 
 def pytest_collection_modifyitems(items):

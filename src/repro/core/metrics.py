@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.jsonl import iter_frame_records, read_frame_header, validate_frame_header
+from repro.jsonl import atomic_write, iter_frame_records, read_frame_header, validate_frame_header
 
 #: Schema version stamped into campaign-result JSONL headers.  Version 2
 #: added the failsafe fields (``failsafe_action`` / ``failsafe_reason``), the
@@ -315,8 +315,7 @@ class CampaignResult:
         one at a time with :func:`append_record_jsonl`, which is what makes
         interrupted campaigns resumable.
         """
-        write_campaign_jsonl(path, self._header(), self.records)
-        return Path(path)
+        return write_campaign_jsonl(path, self._header(), self.records)
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "CampaignResult":
@@ -345,11 +344,11 @@ def write_campaign_jsonl(
     """(Re)write a campaign-result JSONL file with an explicit header.
 
     The campaign runner uses this both for full dumps and to heal a file
-    whose trailing record was torn by a mid-append kill.
+    whose trailing record was torn by a mid-append kill (atomically, so a
+    kill mid-heal leaves the original intact).
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
+    with atomic_write(path) as handle:
         handle.write(json.dumps(header, sort_keys=True) + "\n")
         for record in records:
             handle.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
@@ -400,11 +399,10 @@ def append_record_jsonl(
     killed campaign loses at most the in-flight missions.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     if not path.exists() or path.stat().st_size == 0:
         header = CampaignResult(system_name=result_system)._header()
         if extra_header:
             header.update(extra_header)
-        path.write_text(json.dumps(header, sort_keys=True) + "\n", encoding="utf-8")
+        write_campaign_jsonl(path, header, [])
     with path.open("a", encoding="utf-8") as handle:
         handle.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")

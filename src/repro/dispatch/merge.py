@@ -39,7 +39,7 @@ from repro.dispatch.planner import (
     shard_results_dir,
 )
 from repro.dispatch.queue import ShardQueue
-from repro.jsonl import iter_frame_records, read_frame_header, validate_frame_header
+from repro.jsonl import atomic_write, iter_frame_records, read_frame_header, validate_frame_header
 
 
 class ShardResultError(ValueError):
@@ -136,7 +136,6 @@ def merge_dispatch(
     }
 
     out = Path(out_dir) if out_dir is not None else merged_dir(directory)
-    out.mkdir(parents=True, exist_ok=True)
     merged: dict[str, Path] = {}
     for system in plan.systems:
         # Exactly the header a single-process Campaign.out() writes for this
@@ -149,8 +148,8 @@ def merge_dispatch(
             "platform": plan.platform,
         }
         path = out / campaign_result_filename(system.name)
-        tmp = path.with_name(path.name + ".tmp")
-        with tmp.open("w", encoding="utf-8") as handle:
+        # Concurrent merges each stream to their own temp and commit whole.
+        with atomic_write(path) as handle:
             handle.write(json.dumps(header, sort_keys=True) + "\n")
             for shard in plan.shards:
                 cells = _shard_records(
@@ -176,9 +175,18 @@ def merge_dispatch(
                         f"{shard.name} holds {len(extras)} record(s) outside "
                         f"the planned grid for {system.name}: {extras[:5]}"
                     )
-        tmp.replace(path)
         merged[system.name] = path
     return merged
+
+
+def ensure_merged(directory: str | Path) -> Path:
+    """Merge ``directory`` unless every system's merged file exists; returns ``merged/``."""
+    directory = Path(directory)
+    out = merged_dir(directory)
+    names = [campaign_result_filename(system.name) for system in load_plan(directory).systems]
+    if not all((out / name).exists() for name in names):
+        merge_dispatch(directory)
+    return out
 
 
 def load_merged(directory: str | Path) -> dict[str, CampaignResult]:

@@ -6,18 +6,26 @@ framing rules (blank-line filtering, empty-file and wrong-kind errors,
 schema-version gating) so the two readers cannot drift; payload parsing
 stays with the owning module.
 
-Deliberately import-free of the rest of the package: it is imported from
-both :mod:`repro.core.metrics` and :mod:`repro.world.scenario_suite`.
+It also owns the one publish discipline: :func:`atomic_write` (replace) and
+:func:`write_once` (create) stream into a unique hidden ``.<name>.<hex>.tmp``
+beside the target, commit it with one rename or link, and remove it on any
+exception; no reader glob in the repo (``*.json``, ``*.jsonl``, ``*.md``)
+matches that name.
+
+Deliberately import-free of the rest of the package, so every subsystem
+(core, world, dispatch, obs, analysis) imports it without cycles.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
+import os
 import warnings
 from pathlib import Path
-from typing import Any, Callable, Iterator, TypeVar
+from typing import Any, Callable, Iterator, TextIO, TypeVar
 
 T = TypeVar("T")
 
@@ -32,6 +40,38 @@ def sha16_of_json(payload: Any) -> str:
     """
     encoded = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return hashlib.sha256(encoded).hexdigest()[:16]
+
+
+@contextlib.contextmanager
+def _publishing(path: str | Path, commit: Callable[[Path, Path], None]) -> Iterator[TextIO]:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as handle:
+            yield handle
+        commit(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def atomic_write(path: str | Path) -> contextlib.AbstractContextManager[TextIO]:
+    """Replace ``path`` with what the yielded text handle receives, atomically.
+
+    Readers see the old file or the new one, never a torn one; when writers
+    race, every commit lands and the last one wins.
+    """
+    return _publishing(path, os.replace)
+
+
+def write_once(path: str | Path, text: str) -> bool:
+    """Create ``path`` holding ``text``, complete, unless it exists (then ``False``)."""
+    try:
+        with _publishing(path, os.link) as handle:
+            handle.write(text)
+    except FileExistsError:
+        return False
+    return True
 
 
 def validate_frame_header(

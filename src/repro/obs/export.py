@@ -13,9 +13,9 @@ under the dispatch directory it is working::
 Three properties make the snapshots safe to merge (see
 :mod:`repro.obs.aggregate`):
 
-* **atomic** — each flush writes a temp file (suffix ``.tmp``, invisible to
-  the aggregator's ``*.json`` glob) and ``os.replace``-s it over the
-  snapshot, so a reader never observes a torn snapshot and a worker killed
+* **atomic** — each flush publishes through :func:`repro.jsonl.atomic_write`
+  (its hidden ``.tmp`` file is invisible to the aggregator's ``*.json``
+  glob), so a reader never observes a torn snapshot and a worker killed
   mid-flush leaves at worst a stale complete one plus an orphan temp file.
   Flushes of one exporter are serialised from sequence draw to replace, so
   the snapshot on disk always carries the highest ``seq`` drawn.
@@ -43,6 +43,7 @@ import threading
 import uuid
 from pathlib import Path
 
+from repro.jsonl import atomic_write
 from repro.obs.metrics import METRICS, MetricsRegistry
 
 SNAPSHOT_KIND = "metrics-snapshot"
@@ -83,9 +84,7 @@ class MetricsExporter:
         ``obs/metrics/`` subtree.  Returns the snapshot path, or ``None``
         when the filesystem refused (flushing never breaks a run loop).
         """
-        target_dir = Path(directory) / METRICS_DIRNAME
-        path = target_dir / self.filename()
-        tmp = path.with_name(f".{path.stem}-{uuid.uuid4().hex[:6]}.tmp")
+        path = Path(directory) / METRICS_DIRNAME / self.filename()
         # Pool threads share one exporter.  Holding the lock from drawing
         # the sequence number through the replace makes flushes land in
         # sequence order, so an older snapshot can never replace a newer one.
@@ -99,16 +98,9 @@ class MetricsExporter:
                 "metrics": (registry if registry is not None else METRICS).dump(),
             }
             try:
-                target_dir.mkdir(parents=True, exist_ok=True)
-                tmp.write_text(
-                    json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8"
-                )
-                os.replace(tmp, path)
+                with atomic_write(path) as handle:
+                    handle.write(json.dumps(payload, sort_keys=True) + "\n")
             except OSError:
-                try:
-                    tmp.unlink()
-                except OSError:
-                    pass
                 return None
         return path
 

@@ -22,7 +22,7 @@ Tracing is strictly a side channel:
 * trace files reuse the repo's framed-JSONL rules (:mod:`repro.jsonl`): one
   header line (``kind: "flight-trace"``), then one summary object per run;
 * appends are single ``os.write`` calls on ``O_APPEND`` descriptors and the
-  header is created atomically (temp file + ``link``), so any number of
+  header is created once, atomically (:func:`repro.jsonl.write_once`), so any number of
   campaign workers — processes or machines sharing the directory — can
   append to the same trace dir without coordination, and a reader never sees
   a headerless or interleaved file.
@@ -40,10 +40,10 @@ import os
 import re
 from contextlib import nullcontext
 from pathlib import Path
-from time import monotonic_ns, perf_counter
+from time import perf_counter
 from typing import Any, Iterator, Mapping
 
-from repro.jsonl import iter_frame_records
+from repro.jsonl import iter_frame_records, write_once
 
 #: Trace-file framing (the same gate discipline as campaign results).
 TRACE_KIND = "flight-trace"
@@ -174,23 +174,13 @@ def _trace_header(system_name: str) -> dict[str, Any]:
 def _ensure_header(path: Path, system_name: str) -> None:
     """Create the trace file with its header line, atomically.
 
-    The header is written to a unique temp file first and ``link``-ed into
-    place: concurrent appenders either see the complete header already on
-    disk or race to create it, and the loser just discards its temp file —
-    no appender can ever observe (or append to) a headerless file.
+    :func:`repro.jsonl.write_once` links the complete header into place:
+    concurrent appenders either see it already on disk or race to create it
+    (the loser's header is identical), so no appender can ever observe (or
+    append to) a headerless file.
     """
-    if path.exists():
-        return
-    path.parent.mkdir(parents=True, exist_ok=True)
-    line = json.dumps(_trace_header(system_name), sort_keys=True) + "\n"
-    tmp = path.with_name(f"{path.name}.hdr-{os.getpid()}-{monotonic_ns()}")
-    tmp.write_text(line, encoding="utf-8")
-    try:
-        os.link(tmp, path)
-    except FileExistsError:
-        pass  # another appender won the race; its header is identical
-    finally:
-        tmp.unlink()
+    if not path.exists():
+        write_once(path, json.dumps(_trace_header(system_name), sort_keys=True) + "\n")
 
 
 def append_trace_summary(

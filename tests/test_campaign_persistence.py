@@ -83,6 +83,13 @@ class TestCampaignResultJsonl:
         restored = CampaignResult.from_jsonl(path)
         assert len(restored) == 2
 
+    def test_append_to_zero_byte_file_writes_header(self, tmp_path):
+        path = tmp_path / "result.jsonl"
+        path.touch()
+        append_record_jsonl(path, "MLS-V1", make_record("s-0", 0))
+        assert len(CampaignResult.from_jsonl(path)) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["result.jsonl"]
+
     def test_rejects_wrong_kind(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"kind": "scenario-suite", "name": "x"}\n')
@@ -242,6 +249,34 @@ class TestCampaignResume:
             warnings.simplefilter("error")
             restored = CampaignResult.from_jsonl(path)
         assert len(restored) == 6
+
+    def test_heal_killed_mid_write_keeps_original(self, tmp_path, stub_execute, monkeypatch):
+        # The heal rewrites the whole file; a kill after the header and one
+        # record must leave every already-persisted record in place.
+        self._campaign(tmp_path).run()
+        path = tmp_path / "MLS-V1.jsonl"
+        with path.open("a") as handle:
+            handle.write('{"half": "written')
+        before = path.read_bytes()
+
+        class KilledMidHeal(RuntimeError):
+            pass
+
+        def dying(records):
+            yield records[0]
+            raise KilledMidHeal
+
+        real_write = campaign_module.write_campaign_jsonl
+        monkeypatch.setattr(
+            campaign_module,
+            "write_campaign_jsonl",
+            lambda target, header, records: real_write(target, header, dying(records)),
+        )
+        with pytest.warns(RuntimeWarning, match="torn trailing record"):
+            with pytest.raises(KilledMidHeal):
+                self._campaign(tmp_path).run()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["MLS-V1.jsonl"]  # no temp left
 
     def test_no_out_means_no_files(self, tmp_path, stub_execute):
         campaign = (

@@ -459,6 +459,32 @@ class TestWorkerAndMerge:
         with pytest.raises(ShardResultError, match="holds no record"):
             merge_dispatch(directory)
 
+    def test_concurrent_merges_do_not_interleave(
+        self, tmp_path, suite, stub_execute, monkeypatch
+    ):
+        # A second merge of the same directory runs while the first is
+        # mid-write; each must commit a complete file of its own.
+        import repro.dispatch.merge as merge_module
+
+        plan_smoke(tmp_path, suite, shards=2)
+        directory = tmp_path / "dispatch"
+        run_worker(directory, worker_id="w1")
+        reference = merge_dispatch(directory, out_dir=tmp_path / "plain")["MLS-V1"]
+        real_shard_records = merge_module._shard_records
+        calls = []
+
+        def racing_shard_records(*args, **kwargs):
+            calls.append(args[2].index)
+            if len(calls) == 1:
+                merge_dispatch(directory)
+            return real_shard_records(*args, **kwargs)
+
+        monkeypatch.setattr(merge_module, "_shard_records", racing_shard_records)
+        merged = merge_dispatch(directory)
+        assert calls == [0, 0, 1, 1]  # outer shard 0, nested 0 and 1, outer 1
+        assert merged["MLS-V1"].read_bytes() == reference.read_bytes()
+        assert [p.name for p in (directory / "merged").iterdir()] == ["MLS-V1.jsonl"]
+
     def test_verify_merge_counts_without_writing(self, tmp_path, suite, stub_execute):
         plan_smoke(tmp_path, suite, shards=2)
         directory = tmp_path / "dispatch"

@@ -12,11 +12,13 @@ import json
 import pytest
 
 from repro.jsonl import (
+    atomic_write,
     iter_frame_records,
     read_frame_page,
     read_frame_header,
     read_jsonl_frame,
     validate_frame_header,
+    write_once,
 )
 
 KIND = "campaign-result"
@@ -238,3 +240,35 @@ class TestReadFramePage:
         path = self.file(tmp_path)
         with pytest.raises(ValueError, match="not a scenario-suite"):
             read_frame_page(path, "scenario-suite", 1, parse_payload)
+
+
+class TestPublish:
+    def test_racing_replacers_both_commit_and_last_wins(self, tmp_path):
+        # Two writers of one path, interleaved: with a shared temp name the
+        # second commit would find its temp already renamed away.
+        path = tmp_path / "snapshot.json"
+        with atomic_write(path) as first:
+            first.write("first\n")
+            with atomic_write(path) as second:
+                second.write("second\n")
+                assert list(tmp_path.glob("*.json")) == []  # temps stay unseen
+            assert path.read_text() == "second\n"
+        assert path.read_text() == "first\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["snapshot.json"]
+
+    def test_failed_write_keeps_target_and_removes_temp(self, tmp_path):
+        path = tmp_path / "snapshot.json"
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError):
+            with atomic_write(path) as handle:
+                handle.write("new")
+                raise RuntimeError("killed mid-write")
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["snapshot.json"]
+
+    def test_write_once_creates_then_refuses(self, tmp_path):
+        path = tmp_path / "sub" / "run.trace.jsonl"
+        assert write_once(path, "header\n") is True
+        assert write_once(path, "other\n") is False
+        assert path.read_text() == "header\n"
+        assert [p.name for p in path.parent.iterdir()] == ["run.trace.jsonl"]
