@@ -28,7 +28,8 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from repro.bench.campaign import CampaignConfig, run_campaign, run_field_campaign, run_hil_campaign  # noqa: E402
+from repro import Campaign, build_evaluation_suite, mls_v3, run_field_campaign  # noqa: E402
+from repro.bench.campaign import bench_repetitions, bench_scenario_count  # noqa: E402
 from repro.jsonl import atomic_write  # noqa: E402
 
 
@@ -219,18 +220,18 @@ def pytest_collection_modifyitems(items):
 @pytest.fixture(scope="session")
 def sil_campaign_results():
     """RQ1: the SIL campaign over MLS-V1/V2/V3."""
-    return run_campaign(campaign_config=CampaignConfig())
+    return Campaign().run()
 
 
 @pytest.fixture(scope="session")
 def hil_campaign_result():
     """RQ2: the HIL campaign (MLS-V3 on the Jetson Nano model)."""
-    return run_hil_campaign(campaign_config=CampaignConfig())
+    return Campaign(mls_v3()).platform("jetson-nano").run()["MLS-V3"]
 
 
 @pytest.fixture(scope="session")
 def field_campaign_result():
     """RQ3: the real-world (field) campaign."""
-    config = CampaignConfig()
-    config.scenario_count = max(4, config.scenario_count // 2)
-    return run_field_campaign(campaign_config=config)
+    suite = build_evaluation_suite().subset(max(4, bench_scenario_count() // 2))
+    suite.repetitions = bench_repetitions()
+    return run_field_campaign(suite)

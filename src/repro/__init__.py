@@ -50,18 +50,9 @@ from repro.analysis import (
     summarize_records,
     wilson_interval,
 )
-from repro.bench.campaign import (
-    Campaign,
-    CampaignConfig,
-    run_campaign,
-    run_field_campaign,
-    run_hil_campaign,
-)
+from repro.bench.campaign import Campaign, run_field_campaign
 from repro.core.config import (
-    DetectorKind,
     LandingSystemConfig,
-    MapperKind,
-    PlannerKind,
     SystemGeneration,
     ablation_grid,
     config_for,
@@ -124,9 +115,6 @@ __all__ = [
     # configuration & presets
     "LandingSystemConfig",
     "SystemGeneration",
-    "DetectorKind",
-    "MapperKind",
-    "PlannerKind",
     "config_for",
     "preset",
     "ablation_grid",
@@ -153,9 +141,6 @@ __all__ = [
     "run_scenario",
     # campaigns
     "Campaign",
-    "CampaignConfig",
-    "run_campaign",
-    "run_hil_campaign",
     "run_field_campaign",
     # distributed dispatch
     "DispatchPlan",

@@ -4,10 +4,9 @@ The full paper campaign is 100 scenarios x 3 repetitions per system; in this
 pure-Python reproduction each run takes seconds of wall clock, so the default
 campaign size is reduced and controlled by the ``REPRO_BENCH_SCENARIOS`` /
 ``REPRO_BENCH_REPETITIONS`` environment variables (set them to 100 / 3 to run
-the paper-scale campaign).  ``REPRO_BENCH_WORKERS`` selects multi-process
-execution for any campaign built through this module.
+the paper-scale campaign).
 
-The primary API is the fluent :class:`Campaign` builder::
+Campaigns are built with the fluent :class:`Campaign` builder::
 
     from repro import Campaign, mls_v1, mls_v3
 
@@ -25,9 +24,11 @@ Every mission in a campaign is independent (own world, own seeds), so the
 run grid is embarrassingly parallel: ``.parallel(n)`` fans the jobs out over a
 :class:`concurrent.futures.ProcessPoolExecutor` while keeping aggregation in
 submission order, which makes the parallel results bit-identical to the
-serial ones.  :func:`run_campaign`, :func:`run_hil_campaign` and
-:func:`run_field_campaign` remain as thin wrappers for the existing
-benchmarks.
+serial ones.  Platforms are named by :data:`PLATFORM_FACTORIES` key, so
+jobs always pickle and dispatch workers on other machines resolve the same
+platform.  :func:`run_field_campaign` flies the RQ3 field campaign, whose
+runs go through the real-world effects model instead of a
+:class:`Campaign`.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict as dataclasses_asdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
@@ -67,7 +68,6 @@ from repro.world.scenario_suite import ScenarioSuite, build_evaluation_suite
 #: Default number of scenarios when the environment does not say otherwise.
 DEFAULT_BENCH_SCENARIOS = 6
 DEFAULT_BENCH_REPETITIONS = 1
-DEFAULT_BENCH_WORKERS = 1
 
 
 def bench_scenario_count() -> int:
@@ -78,23 +78,6 @@ def bench_scenario_count() -> int:
 def bench_repetitions() -> int:
     """Repetitions per scenario, overridable via ``REPRO_BENCH_REPETITIONS``."""
     return int(os.environ.get("REPRO_BENCH_REPETITIONS", DEFAULT_BENCH_REPETITIONS))
-
-
-def bench_workers() -> int:
-    """Worker processes per campaign, overridable via ``REPRO_BENCH_WORKERS``."""
-    return int(os.environ.get("REPRO_BENCH_WORKERS", DEFAULT_BENCH_WORKERS))
-
-
-@dataclass
-class CampaignConfig:
-    """What to run (the non-fluent knob bundle used by the benchmarks)."""
-
-    scenario_count: int = field(default_factory=bench_scenario_count)
-    repetitions: int = field(default_factory=bench_repetitions)
-    mission: MissionConfig = field(default_factory=MissionConfig)
-    base_seed: int = 2025
-    verbose: bool = False
-    workers: int = field(default_factory=bench_workers)
 
 
 # ---------------------------------------------------------------------- #
@@ -112,9 +95,8 @@ def _jetson_real_world_platform() -> ExecutionPlatform:
     return JetsonNanoPlatform(spec=JetsonNanoSpec.real_world())
 
 
-#: Named platform factories accepted by ``Campaign.platform(...)``.  String
-#: keys (rather than factory callables) are what parallel campaigns ship to
-#: worker processes, so entries here are always multiprocessing-safe.
+#: Named platform factories accepted by ``Campaign.platform(...)``.  Jobs
+#: carry the key and resolve it in whichever process flies them.
 PLATFORM_FACTORIES: dict[str, Callable[[], ExecutionPlatform]] = {
     "desktop": _desktop_platform,
     "jetson-nano": _jetson_platform,
@@ -122,18 +104,14 @@ PLATFORM_FACTORIES: dict[str, Callable[[], ExecutionPlatform]] = {
 }
 
 
-def _resolve_platform_factory(
-    platform: str | Callable[[], ExecutionPlatform],
-) -> Callable[[], ExecutionPlatform]:
-    if callable(platform):
-        return platform
-    key = str(platform).strip().lower()
-    if key not in PLATFORM_FACTORIES:
+def _resolve_platform_factory(platform: str) -> Callable[[], ExecutionPlatform]:
+    # Exact keys only: the dispatch planner and the service validate the
+    # same way, so a key accepted here is accepted by every execution mode.
+    if platform not in PLATFORM_FACTORIES:
         raise ValueError(
-            f"unknown platform {platform!r}; expected one of {sorted(PLATFORM_FACTORIES)} "
-            f"or a zero-argument factory callable"
+            f"unknown platform {platform!r}; expected one of {sorted(PLATFORM_FACTORIES)}"
         )
-    return PLATFORM_FACTORIES[key]
+    return PLATFORM_FACTORIES[platform]
 
 
 # ---------------------------------------------------------------------- #
@@ -148,7 +126,7 @@ class CampaignJob:
     scenario: Scenario
     repetition: int
     mission: MissionConfig
-    platform: str | Callable[[], ExecutionPlatform] = "desktop"
+    platform: str = "desktop"
     needs_network: bool = True
     #: Fault specs to inject into this run (see :mod:`repro.faults`); plain
     #: frozen dataclasses, so jobs stay picklable for ``.parallel()``.
@@ -274,12 +252,6 @@ def _execute_job(job: CampaignJob) -> RunRecord:
     return record
 
 
-#: Shared content-hash helper (see :func:`repro.jsonl.sha16_of_json`); the
-#: old private name is kept because the dispatch planner historically
-#: imported it from here.
-_sha16 = sha16_of_json
-
-
 def campaign_result_filename(system_name: str) -> str:
     """The JSONL filename ``Campaign.out`` persists a system's records under.
 
@@ -291,7 +263,7 @@ def campaign_result_filename(system_name: str) -> str:
 
 def campaign_context_fingerprint(
     mission: MissionConfig,
-    platform: str | Callable[[], ExecutionPlatform],
+    platform: str,
     faults: Sequence[FaultSpec] = (),
 ) -> str:
     """Identity of a run *context* (mission config + platform + faults).
@@ -305,16 +277,11 @@ def campaign_context_fingerprint(
     """
     payload: dict[str, Any] = {
         "mission": dataclasses_asdict(mission),
-        "platform": platform if isinstance(platform, str) else "<callable>",
+        "platform": platform,
     }
     if faults:
         payload["faults"] = [spec.to_dict() for spec in faults]
-    return _sha16(payload)
-
-
-def _scenario_fingerprint(scenario: Scenario) -> str:
-    """Content hash of one scenario, stored with each persisted run record."""
-    return scenario.fingerprint()
+    return sha16_of_json(payload)
 
 
 def _system_needs_network(config: LandingSystemConfig) -> bool:
@@ -346,7 +313,7 @@ class Campaign:
         self._scenario_count: int | None = None
         self._repetitions: int | None = None
         self._mission: MissionConfig = MissionConfig()
-        self._platform: str | Callable[[], ExecutionPlatform] = "desktop"
+        self._platform: str = "desktop"
         self._workers: int = 1
         self._base_seed: int = 2025
         self._seed_override: int | None = None
@@ -490,12 +457,8 @@ class Campaign:
         self._mission = replace(base, **overrides) if overrides else base
         return self
 
-    def platform(self, platform: str | Callable[[], ExecutionPlatform]) -> "Campaign":
-        """Execution platform: a ``PLATFORM_FACTORIES`` key or a factory.
-
-        String keys are preferred for ``.parallel()`` campaigns — they are
-        resolved inside each worker, so the factory never has to pickle.
-        """
+    def platform(self, platform: str) -> "Campaign":
+        """Execution platform: a ``PLATFORM_FACTORIES`` key (``"jetson-nano"``)."""
         _resolve_platform_factory(platform)  # validate eagerly
         self._platform = platform
         return self
@@ -575,21 +538,9 @@ class Campaign:
 
         scenario_hashes: dict[str, str] = {}
         if self._out is not None:
-            if not isinstance(self._platform, str):
-                import warnings
-
-                warnings.warn(
-                    "persisting campaign results with a callable platform "
-                    "factory: platform changes cannot be detected on resume "
-                    "(use a string platform key for full resume guarding)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
             for job in jobs:
                 if job.scenario.scenario_id not in scenario_hashes:
-                    scenario_hashes[job.scenario.scenario_id] = _scenario_fingerprint(
-                        job.scenario
-                    )
+                    scenario_hashes[job.scenario.scenario_id] = job.scenario.fingerprint()
         context = self._context_fingerprint() if self._out is not None else ""
         restored = self._load_persisted(systems, context)
         pending: list[CampaignJob] = []
@@ -615,7 +566,7 @@ class Campaign:
             # fork-start platforms and hit the disk cache elsewhere.
             _shared_network()
 
-        if self._workers > 1 and len(pending) > 1 and self._jobs_picklable(pending):
+        if self._workers > 1 and len(pending) > 1:
             records = self._run_parallel(pending)
         else:
             records = map(_execute_job, pending)
@@ -641,9 +592,7 @@ class Campaign:
                             "campaign": context,
                             # The one run condition a record cannot carry;
                             # repro.analysis slices by it via this header.
-                            "platform": self._platform
-                            if isinstance(self._platform, str)
-                            else "<callable>",
+                            "platform": self._platform,
                         },
                     )
             results[job.system.name].add(record)
@@ -740,11 +689,6 @@ class Campaign:
         from repro.dispatch.planner import plan_dispatch
         from repro.dispatch.worker import run_local_workers
 
-        if not isinstance(self._platform, str):
-            raise ValueError(
-                "dispatch requires a string platform key (workers on other "
-                "machines cannot import a local factory callable)"
-            )
         suite = self._resolved_suite()
         repetitions = self._repetitions if self._repetitions is not None else suite.repetitions
         plan_dispatch(
@@ -835,30 +779,6 @@ class Campaign:
             }
         return restored
 
-    @staticmethod
-    def _jobs_picklable(jobs: Sequence[CampaignJob]) -> bool:
-        """Whether the jobs can cross a process boundary.
-
-        A closure/lambda ``platform_factory`` (the pre-fluent callable API)
-        cannot pickle; rather than crash a campaign that used to work
-        serially, fall back to in-process execution with a warning.
-        """
-        import pickle
-        import warnings
-
-        try:
-            pickle.dumps(jobs[0])
-            return True
-        except Exception:
-            warnings.warn(
-                "campaign jobs are not picklable (usually a lambda/closure "
-                "platform factory); running serially — use a platform string "
-                "key such as 'jetson-nano' to enable parallel execution",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return False
-
     def _run_parallel(self, jobs: Sequence[CampaignJob]) -> Iterable[RunRecord]:
         workers = min(self._workers, len(jobs))
         with ProcessPoolExecutor(max_workers=workers) as executor:
@@ -892,93 +812,38 @@ class Campaign:
         return suite
 
 
-# ---------------------------------------------------------------------- #
-# thin wrappers kept for the existing benchmarks / examples
-# ---------------------------------------------------------------------- #
-def _campaign_from_config(
-    campaign_config: CampaignConfig, suite: ScenarioSuite | None
-) -> Campaign:
-    campaign = Campaign().mission(campaign_config.mission).seed(campaign_config.base_seed)
-    if suite is not None:
-        # Legacy semantics: an explicit suite brings its own repetition count.
-        campaign.suite(suite)
-    else:
-        campaign.scenarios(campaign_config.scenario_count).repetitions(
-            campaign_config.repetitions
-        )
-    if campaign_config.workers > 1:
-        campaign.parallel(campaign_config.workers)
-    return campaign
-
-
-def run_campaign(
-    system_configs: Iterable[LandingSystemConfig] | None = None,
-    campaign_config: CampaignConfig | None = None,
-    suite: ScenarioSuite | None = None,
-    platform_factory: Callable[[], ExecutionPlatform] | None = None,
-    progress: Callable[[str], None] | None = None,
-) -> dict[str, CampaignResult]:
-    """Run a (possibly reduced) campaign and aggregate per-system results.
-
-    Args:
-        system_configs: systems to evaluate; defaults to V1, V2 and V3.
-        campaign_config: campaign size, mission timing and worker count.
-        suite: explicit scenario suite; defaults to a subset of the 10x10
-            evaluation suite.
-        platform_factory: builds the execution platform for each run
-            (defaults to the SIL desktop platform).
-        progress: optional callback receiving one line per completed run.
-    """
-    campaign = _campaign_from_config(campaign_config or CampaignConfig(), suite).progress(progress)
-    if system_configs is not None:
-        campaign.systems(*system_configs)
-    if platform_factory is not None:
-        campaign.platform(platform_factory)
-    return campaign.run()
-
-
-def run_hil_campaign(
-    campaign_config: CampaignConfig | None = None,
-    suite: ScenarioSuite | None = None,
-    system_config: LandingSystemConfig | None = None,
-    progress: Callable[[str], None] | None = None,
-) -> CampaignResult:
-    """The RQ2 campaign: MLS-V3 on the Jetson Nano platform."""
-    system_config = system_config or mls_v3()
-    campaign = (
-        _campaign_from_config(campaign_config or CampaignConfig(), suite)
-        .systems(system_config)
-        .platform("jetson-nano")
-        .progress(progress)
-    )
-    return campaign.run()[system_config.name]
-
-
 def run_field_campaign(
-    campaign_config: CampaignConfig | None = None,
     suite: ScenarioSuite | None = None,
+    *,
+    mission: MissionConfig | None = None,
     field_config: FieldTestConfig | None = None,
     progress: Callable[[str], None] | None = None,
 ) -> CampaignResult:
-    """The RQ3 campaign: simplified scenarios flown with real-world effects."""
-    campaign_config = campaign_config or CampaignConfig()
+    """The RQ3 campaign: simplified scenarios flown with real-world effects.
+
+    Each scenario is flown ``suite.repetitions`` times with a distinct camera
+    seed, exactly like a :class:`Campaign` repetition.  The default suite is
+    the one a bare ``Campaign()`` would fly.
+    """
     if suite is None:
-        suite = build_evaluation_suite(base_seed=campaign_config.base_seed).subset(
-            campaign_config.scenario_count
-        )
-        suite.repetitions = campaign_config.repetitions
+        suite = Campaign()._resolved_suite()
+    mission = mission or MissionConfig()
     field_config = field_config or FieldTestConfig()
     network = _shared_network()
 
     result = CampaignResult(system_name="MLS-V3")
     for scenario in suite:
-        record = run_field_scenario(
-            scenario,
-            config=field_config,
-            mission_config=campaign_config.mission,
-            detector_network=network,
-        )
-        result.add(record)
-        if progress is not None:
-            progress(f"field {scenario.scenario_id}: {record.outcome.value}")
+        for repetition in range(suite.repetitions):
+            record = run_field_scenario(
+                scenario,
+                config=field_config,
+                mission_config=replace(mission, camera_seed=repetition),
+                detector_network=network,
+            )
+            record.repetition = repetition
+            result.add(record)
+            if progress is not None:
+                progress(
+                    f"field {scenario.scenario_id} rep{repetition}: {record.outcome.value}"
+                )
     return result

@@ -18,46 +18,19 @@ ablation grid (see :func:`ablation_grid`) plus anything registered through
 :meth:`~LandingSystemConfig.from_dict` round-trip a configuration through
 plain JSON-compatible dicts for CLI and multiprocessing use.
 
-The ``DetectorKind`` / ``MapperKind`` / ``PlannerKind`` enums are kept as
-back-compat aliases for the built-in component keys: config fields accept
-either the enum member or its string key, and built-in selections are
-normalized to the enum so existing identity comparisons keep working.
-Custom (registry-registered) components are carried as plain strings.
+Components are always carried as canonical registry string keys: a registry
+alias (``"learned"``, ``"rrt"``) is resolved on construction, so two configs
+naming the same component compare equal.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import asdict, dataclass, field, fields, replace
-from itertools import product
 from typing import Any, Iterator
 
 # Safe: the registry module does not depend on this one at runtime.
-from repro.core.registry import REGISTRY
-from repro.core.registry import component_key as component_key_of
-
-
-class DetectorKind(enum.Enum):
-    """Built-in marker detectors (back-compat alias for registry keys)."""
-
-    CLASSICAL = "opencv"
-    LEARNED = "tph-yolo"
-
-
-class MapperKind(enum.Enum):
-    """Built-in occupancy-map representations (back-compat alias)."""
-
-    NONE = "none"
-    DENSE_GRID = "dense-grid"
-    OCTOMAP = "octomap"
-
-
-class PlannerKind(enum.Enum):
-    """Built-in path planners (back-compat alias)."""
-
-    STRAIGHT_LINE = "straight-line"
-    EGO_LOCAL_ASTAR = "ego-local-astar"
-    RRT_STAR = "rrt-star"
+from repro.core.registry import DETECTOR, MAPPER, PLANNER, REGISTRY
 
 
 class SystemGeneration(enum.Enum):
@@ -68,30 +41,9 @@ class SystemGeneration(enum.Enum):
     MLS_V3 = "MLS-V3"
 
 
-def _normalize_component(value: Any, kind_enum: type[enum.Enum], kind_name: str) -> Any:
-    """Map a component selector to the back-compat enum when it is built in.
-
-    Enum members pass through; strings matching a built-in key (or a registry
-    alias of one, e.g. ``"learned"`` for ``"tph-yolo"``) become the enum
-    member; anything else (a custom registry key) is kept as its canonical
-    string key.
-    """
-    if isinstance(value, kind_enum):
-        return value
-    if isinstance(value, enum.Enum):  # a foreign enum: use its value
-        value = value.value
-    try:
-        return kind_enum(value)
-    except ValueError:
-        pass
-    # Resolve registry aliases (e.g. "learned") to canonical keys.
-    if REGISTRY.has(kind_name, value):
-        canonical = REGISTRY.canonical_key(kind_name, value)
-        try:
-            return kind_enum(canonical)
-        except ValueError:
-            return canonical
-    return str(value)
+def _canonical(kind: str, key: str) -> str:
+    """A registry alias resolved to its canonical key; unknown keys kept as is."""
+    return REGISTRY.canonical_key(kind, key) if REGISTRY.has(kind, key) else str(key)
 
 
 @dataclass(frozen=True)
@@ -150,17 +102,16 @@ _SECTION_TYPES = {
 class LandingSystemConfig:
     """Full configuration of one landing-system composition.
 
-    ``detector`` / ``mapper`` / ``planner`` accept either a back-compat enum
-    member or a registry string key; built-in keys are normalized to the
-    enum.  ``generation`` is set for the paper presets and ``None`` for custom
-    compositions, whose display name comes from ``label`` (or is derived from
-    the component keys).
+    ``detector`` / ``mapper`` / ``planner`` are registry string keys (aliases
+    are resolved to the canonical key).  ``generation`` is set for the paper
+    presets and ``None`` for custom compositions, whose display name comes
+    from ``label`` (or is derived from the component keys).
     """
 
     generation: SystemGeneration | None = None
-    detector: DetectorKind | str = DetectorKind.CLASSICAL
-    mapper: MapperKind | str = MapperKind.NONE
-    planner: PlannerKind | str = PlannerKind.STRAIGHT_LINE
+    detector: str = "opencv"
+    mapper: str = "none"
+    planner: str = "straight-line"
     cruise_altitude: float = 12.0
     search: SearchConfig = field(default_factory=SearchConfig)
     validation: ValidationConfig = field(default_factory=ValidationConfig)
@@ -169,15 +120,9 @@ class LandingSystemConfig:
     label: str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "detector", _normalize_component(self.detector, DetectorKind, "detector")
-        )
-        object.__setattr__(
-            self, "mapper", _normalize_component(self.mapper, MapperKind, "mapper")
-        )
-        object.__setattr__(
-            self, "planner", _normalize_component(self.planner, PlannerKind, "planner")
-        )
+        object.__setattr__(self, "detector", _canonical(DETECTOR, self.detector))
+        object.__setattr__(self, "mapper", _canonical(MAPPER, self.mapper))
+        object.__setattr__(self, "planner", _canonical(PLANNER, self.planner))
 
     # ------------------------------------------------------------------ #
     # identity
@@ -188,28 +133,11 @@ class LandingSystemConfig:
             return self.label
         if self.generation is not None:
             return self.generation.value
-        return (
-            f"custom({self.detector_key}+{self.mapper_key}+{self.planner_key})"
-        )
-
-    @property
-    def detector_key(self) -> str:
-        """Registry string key of the configured detector."""
-        return component_key_of(self.detector)
-
-    @property
-    def mapper_key(self) -> str:
-        """Registry string key of the configured mapper."""
-        return component_key_of(self.mapper)
-
-    @property
-    def planner_key(self) -> str:
-        """Registry string key of the configured planner."""
-        return component_key_of(self.planner)
+        return f"custom({self.detector}+{self.mapper}+{self.planner})"
 
     @property
     def has_avoidance(self) -> bool:
-        return self.mapper_key != MapperKind.NONE.value
+        return self.mapper != "none"
 
     # ------------------------------------------------------------------ #
     # builders
@@ -217,9 +145,9 @@ class LandingSystemConfig:
     @classmethod
     def custom(
         cls,
-        detector: DetectorKind | str = DetectorKind.CLASSICAL,
-        mapper: MapperKind | str = MapperKind.NONE,
-        planner: PlannerKind | str = PlannerKind.STRAIGHT_LINE,
+        detector: str = "opencv",
+        mapper: str = "none",
+        planner: str = "straight-line",
         *,
         name: str | None = None,
         **overrides: Any,
@@ -227,7 +155,7 @@ class LandingSystemConfig:
         """Compose a system from component keys (the ablation-grid builder).
 
         Args:
-            detector / mapper / planner: registry keys (or back-compat enums).
+            detector / mapper / planner: registry keys (or their aliases).
             name: optional display name used in campaign tables.
             overrides: any other :class:`LandingSystemConfig` field
                 (``cruise_altitude``, ``search``, ``validation``, ...).
@@ -251,9 +179,9 @@ class LandingSystemConfig:
 
     def with_components(
         self,
-        detector: DetectorKind | str | None = None,
-        mapper: MapperKind | str | None = None,
-        planner: PlannerKind | str | None = None,
+        detector: str | None = None,
+        mapper: str | None = None,
+        planner: str | None = None,
         name: str | None = None,
     ) -> "LandingSystemConfig":
         """Copy with some components swapped (clears the generation tag)."""
@@ -273,9 +201,9 @@ class LandingSystemConfig:
         """A JSON-compatible dict representation (see :meth:`from_dict`)."""
         return {
             "generation": self.generation.value if self.generation is not None else None,
-            "detector": self.detector_key,
-            "mapper": self.mapper_key,
-            "planner": self.planner_key,
+            "detector": self.detector,
+            "mapper": self.mapper,
+            "planner": self.planner,
             "cruise_altitude": self.cruise_altitude,
             "search": asdict(self.search),
             "validation": asdict(self.validation),
@@ -313,9 +241,9 @@ def mls_v1() -> LandingSystemConfig:
     """First generation: OpenCV detection, no obstacle avoidance."""
     return LandingSystemConfig(
         generation=SystemGeneration.MLS_V1,
-        detector=DetectorKind.CLASSICAL,
-        mapper=MapperKind.NONE,
-        planner=PlannerKind.STRAIGHT_LINE,
+        detector="opencv",
+        mapper="none",
+        planner="straight-line",
     )
 
 
@@ -323,9 +251,9 @@ def mls_v2() -> LandingSystemConfig:
     """Second generation: TPH-YOLO detection + EGO-Planner local avoidance."""
     return LandingSystemConfig(
         generation=SystemGeneration.MLS_V2,
-        detector=DetectorKind.LEARNED,
-        mapper=MapperKind.DENSE_GRID,
-        planner=PlannerKind.EGO_LOCAL_ASTAR,
+        detector="tph-yolo",
+        mapper="dense-grid",
+        planner="ego-local-astar",
     )
 
 
@@ -333,9 +261,9 @@ def mls_v3() -> LandingSystemConfig:
     """Third generation: TPH-YOLO detection + OctoMap + RRT*."""
     return LandingSystemConfig(
         generation=SystemGeneration.MLS_V3,
-        detector=DetectorKind.LEARNED,
-        mapper=MapperKind.OCTOMAP,
-        planner=PlannerKind.RRT_STAR,
+        detector="tph-yolo",
+        mapper="octomap",
+        planner="rrt-star",
     )
 
 
@@ -368,19 +296,14 @@ def ablation_grid(
     valid_only: bool = False,
     **overrides: Any,
 ) -> Iterator[LandingSystemConfig]:
-    """Every detector x mapper x planner combination as a custom config.
+    """Every registered detector x mapper x planner combination as a custom config.
 
     With only the built-in components registered this is the full
     2 x 3 x 3 = 18-combination grid the paper's generations are three points
     of.  ``valid_only`` filters to combinations whose planner requirements
-    are satisfied by the mapper (12 of the built-in 18).
+    are satisfied by the mapper (12 of the built-in 18), so it is always a
+    subset of the unfiltered grid.
     """
-    if valid_only:
-        for detector, mapper, planner in REGISTRY.valid_combinations():
-            yield LandingSystemConfig.custom(detector, mapper, planner, **overrides)
-        return
-    detectors = [k.value for k in DetectorKind]
-    mappers = [k.value for k in MapperKind]
-    planners = [k.value for k in PlannerKind]
-    for detector, mapper, planner in product(detectors, mappers, planners):
+    combinations = REGISTRY.valid_combinations() if valid_only else REGISTRY.combinations()
+    for detector, mapper, planner in combinations:
         yield LandingSystemConfig.custom(detector, mapper, planner, **overrides)

@@ -19,12 +19,7 @@ import math
 from dataclasses import dataclass
 
 from repro.core.commands import Command
-from repro.core.config import (
-    DetectorKind,
-    LandingSystemConfig,
-    MapperKind,
-    PlannerKind,
-)
+from repro.core.config import LandingSystemConfig
 from repro.core.registry import (
     DETECTOR,
     MAPPER,
@@ -63,27 +58,6 @@ class ModuleTimings:
     @property
     def total(self) -> float:
         return self.detection + self.mapping + self.planning
-
-
-def _builtin_latency_table() -> dict:
-    """Back-compat view of the built-in latencies, keyed by the old enums.
-
-    The declarations themselves now live on the component registry
-    (:mod:`repro.core.registry`): each registered component carries its own
-    nominal desktop-class latency, so custom components automatically get a
-    cost model.  The relative costs matter more than the absolute values: the
-    learned detector is heavier than the classical one, octree fusion is
-    heavier than grid fusion, and RRT* is heavier than bounded local A*.
-    """
-    table = {}
-    for kind, enum_type in ((DETECTOR, DetectorKind), (MAPPER, MapperKind), (PLANNER, PlannerKind)):
-        for member in enum_type:
-            table[member] = REGISTRY.nominal_latency(kind, member)
-    return table
-
-
-#: Deprecated alias: read latencies from ``REGISTRY.nominal_latency`` instead.
-NOMINAL_LATENCY = _builtin_latency_table()
 
 
 class LandingSystem:

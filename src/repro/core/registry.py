@@ -36,7 +36,6 @@ the full ablation grid without instantiating anything.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
@@ -52,13 +51,6 @@ KINDS = (DETECTOR, MAPPER, PLANNER)
 
 class ComponentError(LookupError):
     """Raised for unknown keys, duplicate registrations or unbuildable combos."""
-
-
-def component_key(value: Any) -> str:
-    """Canonical string key for a component selector (enum member or string)."""
-    if isinstance(value, enum.Enum):
-        return str(value.value)
-    return str(value)
 
 
 @dataclass
@@ -153,7 +145,6 @@ class ComponentRegistry:
     ) -> Callable[[Callable[[ComponentContext], Any]], Callable[[ComponentContext], Any]]:
         """Decorator registering ``factory`` as component ``key`` of ``kind``."""
         self._check_kind(kind)
-        key = component_key(key)
 
         def decorator(factory: Callable[[ComponentContext], Any]):
             doc = (factory.__doc__ or "").strip()
@@ -197,27 +188,26 @@ class ComponentRegistry:
     # ------------------------------------------------------------------ #
     # lookup
     # ------------------------------------------------------------------ #
-    def spec(self, kind: str, key: Any) -> ComponentSpec:
-        """Resolve ``key`` (string, alias or enum member) to its spec."""
+    def spec(self, kind: str, key: str) -> ComponentSpec:
+        """Resolve ``key`` (canonical key or alias) to its spec."""
         self._check_kind(kind)
-        name = component_key(key)
-        name = self._aliases[kind].get(name, name)
+        name = self._aliases[kind].get(str(key), str(key))
         try:
             return self._specs[kind][name]
         except KeyError:
             known = ", ".join(sorted(self._specs[kind])) or "<none>"
             raise ComponentError(
-                f"unknown {kind} {component_key(key)!r}; registered {kind}s: {known}"
+                f"unknown {kind} {name!r}; registered {kind}s: {known}"
             ) from None
 
-    def has(self, kind: str, key: Any) -> bool:
+    def has(self, kind: str, key: str) -> bool:
         try:
             self.spec(kind, key)
             return True
         except ComponentError:
             return False
 
-    def canonical_key(self, kind: str, key: Any) -> str:
+    def canonical_key(self, kind: str, key: str) -> str:
         """The canonical string key ``key`` resolves to."""
         return self.spec(kind, key).key
 
@@ -225,11 +215,11 @@ class ComponentRegistry:
         self._check_kind(kind)
         return tuple(sorted(self._specs[kind]))
 
-    def nominal_latency(self, kind: str, key: Any) -> float:
+    def nominal_latency(self, kind: str, key: str) -> float:
         """Declared desktop-class latency (seconds) of one component call."""
         return self.spec(kind, key).nominal_latency
 
-    def create(self, kind: str, key: Any, context: ComponentContext | None = None) -> Any:
+    def create(self, kind: str, key: str, context: ComponentContext | None = None) -> Any:
         """Build the component ``key`` of ``kind`` with ``context``."""
         return self.spec(kind, key).build(context or ComponentContext())
 
@@ -243,7 +233,7 @@ class ComponentRegistry:
                 for planner in self.keys(PLANNER):
                     yield detector, mapper, planner
 
-    def is_valid_combination(self, mapper: Any, planner: Any) -> bool:
+    def is_valid_combination(self, mapper: str, planner: str) -> bool:
         """Whether ``mapper`` provides everything ``planner`` requires."""
         provided = set(self.spec(MAPPER, mapper).provides)
         return set(self.spec(PLANNER, planner).requires) <= provided

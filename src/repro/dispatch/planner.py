@@ -39,8 +39,7 @@ from repro.bench.campaign import (
 from repro.core.config import LandingSystemConfig
 from repro.core.mission import MissionConfig
 from repro.faults.spec import FaultSpec
-from repro.jsonl import atomic_write
-from repro.jsonl import sha16_of_json as _sha16
+from repro.jsonl import atomic_write, sha16_of_json
 from repro.world.scenario_suite import ScenarioSuite
 
 #: Schema version stamped into plan.json / manifest.json.  Version 2 added
@@ -58,7 +57,7 @@ MERGED_DIRNAME = "merged"
 
 def suite_fingerprint(suite: ScenarioSuite) -> str:
     """Content hash of a suite's scenarios (order-sensitive)."""
-    return _sha16([scenario.fingerprint() for scenario in suite])
+    return sha16_of_json([scenario.fingerprint() for scenario in suite])
 
 
 @dataclass(frozen=True)
@@ -132,7 +131,7 @@ class DispatchPlan:
         Recomputed on load so an edited plan.json whose stored fingerprint
         was not updated is refused, not silently flown.
         """
-        return _sha16({**self.identity(), "shards": len(self.shards)})
+        return sha16_of_json({**self.identity(), "shards": len(self.shards)})
 
     @property
     def total_runs(self) -> int:
@@ -244,7 +243,7 @@ def _build_plan(
         mission=mission,
         platform=platform,
         suite_count=len(suite),
-        suite_fingerprint=_sha16(scenario_fingerprints),
+        suite_fingerprint=sha16_of_json(scenario_fingerprints),
         faults=list(faults),
     )
     base_identity = plan.identity()
@@ -256,7 +255,7 @@ def _build_plan(
                 start=start,
                 stop=stop,
                 scenario_ids=tuple(scenario_ids[start:stop]),
-                fingerprint=_sha16(
+                fingerprint=sha16_of_json(
                     {
                         **base_identity,
                         "start": start,

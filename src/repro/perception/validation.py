@@ -119,10 +119,6 @@ class ValidationGate:
         return self._position_sum / float(self._position_count)
 
     @property
-    def frames_seen(self) -> int:
-        return self._frames_seen
-
-    @property
     def hits(self) -> int:
         return self._hits
 

@@ -110,11 +110,6 @@ class EgoLocalPlanner:
     # ------------------------------------------------------------------ #
     # map plumbing
     # ------------------------------------------------------------------ #
-    def update_map(self, cloud, vehicle_position: Vec3) -> None:
-        """Re-centre the window on the vehicle and fuse a depth cloud."""
-        self.local_map.recenter(vehicle_position)
-        self.local_map.integrate_cloud(cloud)
-
     def path_is_safe(self, waypoints: list[Vec3]) -> bool:
         """Validate a path against the *current* local map."""
         return not self.inflated.path_colliding(waypoints)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.geometry import Pose, Quaternion, Vec3
+from repro.geometry import Pose, Vec3
 from repro.sensors.barometer import Barometer
 from repro.sensors.gps import GpsSensor
 from repro.sensors.imu import ImuSensor, ImuQuality
@@ -141,10 +141,6 @@ class Autopilot:
     def estimation_error(self) -> float:
         """Current EKF position error (ground truth minus estimate), metres."""
         return self.estimated_state.error_to(self.true_state)
-
-    def range_to_ground(self) -> float | None:
-        """Downward rangefinder reading."""
-        return self.rangefinder.measure(self.world, self.true_state.pose)
 
     # ------------------------------------------------------------------ #
     # simulation step

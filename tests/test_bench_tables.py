@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench import paper_values
-from repro.bench.campaign import CampaignConfig, bench_repetitions, bench_scenario_count
+from repro.bench.campaign import bench_repetitions, bench_scenario_count
 from repro.bench.tables import (
     format_markdown_table,
     format_table,
@@ -128,14 +128,15 @@ class TestTableEdgeCases:
         assert text.splitlines()[0] == "| a | b |"
 
 
-class TestCampaignConfig:
+class TestBenchEnvironment:
     def test_environment_overrides(self, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_SCENARIOS", "42")
         monkeypatch.setenv("REPRO_BENCH_REPETITIONS", "2")
         assert bench_scenario_count() == 42
         assert bench_repetitions() == 2
 
-    def test_defaults_are_reasonable(self):
-        config = CampaignConfig()
-        assert config.scenario_count >= 4
-        assert config.repetitions >= 1
+    def test_defaults_are_reasonable(self, monkeypatch):
+        monkeypatch.delenv("REPRO_BENCH_SCENARIOS", raising=False)
+        monkeypatch.delenv("REPRO_BENCH_REPETITIONS", raising=False)
+        assert bench_scenario_count() >= 4
+        assert bench_repetitions() >= 1

@@ -4,9 +4,6 @@ import pytest
 
 from repro.core.commands import Command, CommandKind
 from repro.core.config import (
-    DetectorKind,
-    MapperKind,
-    PlannerKind,
     SystemGeneration,
     config_for,
     mls_v1,
@@ -20,24 +17,24 @@ from repro.geometry import Vec3
 class TestConfigPresets:
     def test_v1_composition(self):
         config = mls_v1()
-        assert config.detector is DetectorKind.CLASSICAL
-        assert config.mapper is MapperKind.NONE
-        assert config.planner is PlannerKind.STRAIGHT_LINE
+        assert config.detector == "opencv"
+        assert config.mapper == "none"
+        assert config.planner == "straight-line"
         assert not config.has_avoidance
         assert config.name == "MLS-V1"
 
     def test_v2_composition(self):
         config = mls_v2()
-        assert config.detector is DetectorKind.LEARNED
-        assert config.mapper is MapperKind.DENSE_GRID
-        assert config.planner is PlannerKind.EGO_LOCAL_ASTAR
+        assert config.detector == "tph-yolo"
+        assert config.mapper == "dense-grid"
+        assert config.planner == "ego-local-astar"
         assert config.has_avoidance
 
     def test_v3_composition(self):
         config = mls_v3()
-        assert config.detector is DetectorKind.LEARNED
-        assert config.mapper is MapperKind.OCTOMAP
-        assert config.planner is PlannerKind.RRT_STAR
+        assert config.detector == "tph-yolo"
+        assert config.mapper == "octomap"
+        assert config.planner == "rrt-star"
 
     def test_config_for_maps_generations(self):
         assert config_for(SystemGeneration.MLS_V1).name == "MLS-V1"

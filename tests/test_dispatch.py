@@ -534,12 +534,12 @@ class TestCampaignDispatchTerminal:
             tmp_path / "serial" / "MLS-V1.jsonl"
         ).read_bytes()
 
-    def test_dispatch_refuses_callable_platform(self, tmp_path, suite, stub_execute):
+    def test_dispatch_refuses_callable_platform(self, suite):
+        # Platforms are named by key only, so a factory never reaches a plan.
         from repro.core.platform import DesktopPlatform
 
-        campaign = Campaign(mls_v1()).suite(suite).platform(DesktopPlatform)
-        with pytest.raises(ValueError, match="string platform key"):
-            campaign.dispatch(tmp_path / "dispatch", shards=2)
+        with pytest.raises(ValueError, match="desktop.*jetson-nano"):
+            Campaign(mls_v1()).suite(suite).platform(DesktopPlatform)
 
     def test_redispatch_resumes_from_done_shards(self, tmp_path, suite, stub_execute):
         campaign = lambda: Campaign(mls_v1()).suite(suite).repetitions(1)

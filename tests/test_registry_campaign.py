@@ -20,8 +20,8 @@ from repro import (
     register_detector,
     run_scenario,
 )
-from repro.bench.campaign import CampaignConfig, CampaignJob, run_campaign
-from repro.core.config import DetectorKind, MapperKind, PlannerKind, SystemGeneration, preset
+from repro.bench.campaign import CampaignJob
+from repro.core.config import SystemGeneration, preset
 from repro.core.registry import DETECTOR, MAPPER, PLANNER
 from repro.geometry import Vec3
 from repro.perception.classical import ClassicalMarkerDetector
@@ -38,13 +38,13 @@ class TestComponentRegistry:
 
     def test_aliases_and_enums_resolve(self):
         assert REGISTRY.canonical_key(DETECTOR, "learned") == "tph-yolo"
-        assert REGISTRY.canonical_key(DETECTOR, DetectorKind.CLASSICAL) == "opencv"
+        assert REGISTRY.canonical_key(DETECTOR, "classical") == "opencv"
         assert REGISTRY.canonical_key(PLANNER, "ego") == "ego-local-astar"
-        assert REGISTRY.canonical_key(MAPPER, MapperKind.OCTOMAP) == "octomap"
+        assert REGISTRY.canonical_key(MAPPER, "octree") == "octomap"
 
     def test_nominal_latency_declared_per_component(self):
         assert REGISTRY.nominal_latency(PLANNER, "rrt-star") == pytest.approx(0.120)
-        assert REGISTRY.nominal_latency(DETECTOR, DetectorKind.CLASSICAL) == pytest.approx(0.012)
+        assert REGISTRY.nominal_latency(DETECTOR, "opencv") == pytest.approx(0.012)
         assert REGISTRY.nominal_latency(MAPPER, "none") == 0.0
 
     def test_unknown_key_raises_with_choices(self):
@@ -123,15 +123,16 @@ class TestCustomComponent:
 class TestConfigComposition:
     def test_custom_accepts_strings_and_aliases(self):
         config = LandingSystemConfig.custom("learned", "octree", "rrt")
-        assert config.detector is DetectorKind.LEARNED
-        assert config.mapper is MapperKind.OCTOMAP
-        assert config.planner is PlannerKind.RRT_STAR
+        assert (config.detector, config.mapper, config.planner) == (
+            "tph-yolo", "octomap", "rrt-star"
+        )
+        assert config == LandingSystemConfig.custom("tph-yolo", "octomap", "rrt-star")
         assert config.generation is None
         assert config.name == "custom(tph-yolo+octomap+rrt-star)"
 
     def test_presets_unchanged(self):
-        assert mls_v1().detector is DetectorKind.CLASSICAL
-        assert mls_v2().planner is PlannerKind.EGO_LOCAL_ASTAR
+        assert mls_v1().detector == "opencv"
+        assert mls_v2().planner == "ego-local-astar"
         assert mls_v3().name == "MLS-V3"
         assert preset("MLS-V2") == mls_v2()
 
@@ -141,10 +142,23 @@ class TestConfigComposition:
         assert len({c.name for c in configs}) == 18
         assert len(list(ablation_grid(valid_only=True))) == 12
 
+    def test_ablation_grid_includes_registered_components(self):
+        # The filtered grid must be a subset of the full one, custom
+        # components included.
+        register_detector("grid-toy", latency=0.005)(lambda ctx: ClassicalMarkerDetector())
+        try:
+            full = {config.name for config in ablation_grid()}
+            valid = {config.name for config in ablation_grid(valid_only=True)}
+        finally:
+            REGISTRY.unregister(DETECTOR, "grid-toy")
+        assert len(full) == 3 * 3 * 3
+        assert valid <= full
+        assert "custom(grid-toy+octomap+rrt-star)" in valid
+
     def test_with_components_swaps_and_clears_generation(self):
         hybrid = mls_v3().with_components(planner="straight-line", name="V3-straight")
-        assert hybrid.detector is DetectorKind.LEARNED
-        assert hybrid.planner is PlannerKind.STRAIGHT_LINE
+        assert hybrid.detector == "tph-yolo"
+        assert hybrid.planner == "straight-line"
         assert hybrid.generation is None
         assert hybrid.name == "V3-straight"
 
@@ -167,8 +181,8 @@ class TestConfigSerialization:
 
     def test_partial_dict_uses_defaults(self):
         config = LandingSystemConfig.from_dict({"detector": "tph-yolo"})
-        assert config.detector is DetectorKind.LEARNED
-        assert config.mapper is MapperKind.NONE
+        assert config.detector == "tph-yolo"
+        assert config.mapper == "none"
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown LandingSystemConfig keys"):
@@ -220,6 +234,8 @@ class TestCampaignBuilder:
     def test_platform_validation(self):
         with pytest.raises(ValueError, match="unknown platform"):
             Campaign().platform("abacus")
+        with pytest.raises(ValueError, match="unknown platform"):
+            Campaign().platform("Jetson-Nano")  # dispatch would refuse it
         Campaign().platform("jetson-nano")  # known key validates
 
     def test_fluent_setters_validate(self):
@@ -246,20 +262,26 @@ class TestCampaignBuilder:
         with pytest.raises(ValueError, match="duplicate system names.*MLS-V1"):
             campaign.run()
 
-    def test_unpicklable_platform_falls_back_to_serial(self):
-        from repro.core.platform import DesktopPlatform
+    def test_field_campaign_flies_every_repetition(self, monkeypatch):
+        import repro.bench.campaign as campaign_module
+        from repro.core.metrics import RunOutcome, RunRecord
 
-        campaign = (
-            Campaign(mls_v1())
-            .scenarios(1)
-            .repetitions(2)
-            .mission(MissionConfig(max_mission_time=5.0))
-            .platform(lambda: DesktopPlatform())
-            .parallel(2)
-        )
-        with pytest.warns(RuntimeWarning, match="not picklable"):
-            results = campaign.run()
-        assert len(results["MLS-V1"].records) == 2
+        seeds = []
+
+        def fake_field_scenario(scenario, *, config, mission_config, detector_network):
+            seeds.append((scenario.scenario_id, mission_config.camera_seed))
+            return RunRecord(scenario.scenario_id, "MLS-V3", RunOutcome.SUCCESS)
+
+        monkeypatch.setattr(campaign_module, "run_field_scenario", fake_field_scenario)
+        monkeypatch.setattr(campaign_module, "_shared_network", lambda: None)
+        suite = build_evaluation_suite().subset(2)
+        suite.repetitions = 3
+        result = campaign_module.run_field_campaign(suite=suite)
+
+        ids = [scenario.scenario_id for scenario in suite]
+        expected = [(sid, rep) for sid in ids for rep in range(3)]
+        assert seeds == expected
+        assert [(r.scenario_id, r.repetition) for r in result.records] == expected
 
     def test_mapping_stack_memory_duck_typed(self):
         from repro.core.registry import MappingStack
@@ -306,14 +328,3 @@ class TestCampaignExecution:
             "MLS-V1": 2,
             "V1+grid": 2,
         }
-
-    def test_run_campaign_wrapper_keeps_working(self):
-        suite = build_evaluation_suite().subset(1)
-        suite.repetitions = 1
-        results = run_campaign(
-            [mls_v1()],
-            campaign_config=CampaignConfig(mission=MissionConfig(max_mission_time=10.0)),
-            suite=suite,
-        )
-        assert set(results) == {"MLS-V1"}
-        assert len(results["MLS-V1"].records) == 1
